@@ -32,11 +32,20 @@ blocks the PR that introduces a new probe.  The same goes for a baseline
 that lacks the --normalize reference probe entirely; only a reference
 probe missing from the *new* file fails the gate (the new run is broken,
 not merely older).
+
+In --gate mode the script also compares the two files' recording context
+(context.num_cpus, library_build_type, slab_tier) and prints a CROSS-CONTEXT
+line when any of them differs or is missing from either file: ratios across
+CPU counts, benchmark-library build types or SIMD tiers measure the
+machines as much as the code.  The line is a warning; it never changes the
+exit code.
 """
 
 import argparse
 import json
 import sys
+
+CONTEXT_KEYS = ("num_cpus", "library_build_type", "slab_tier")
 
 
 def flatten(doc, prefix=""):
@@ -59,6 +68,22 @@ def flatten(doc, prefix=""):
         report = value.get("report")
         if isinstance(report, dict):
             yield from flatten(report, prefix + key + ":")
+
+
+def context_mismatches(old_doc, new_doc):
+    """Lists "key=old vs new" for each CONTEXT_KEYS entry that differs or is
+    absent from either file's top-level "context" object."""
+    def context(doc):
+        ctx = doc.get("context") if isinstance(doc, dict) else None
+        return ctx if isinstance(ctx, dict) else {}
+    old_ctx, new_ctx = context(old_doc), context(new_doc)
+    out = []
+    for key in CONTEXT_KEYS:
+        a, b = old_ctx.get(key), new_ctx.get(key)
+        if a is None or b is None or a != b:
+            out.append(f"{key}={'missing' if a is None else a} vs "
+                       f"{'missing' if b is None else b}")
+    return out
 
 
 def normalize(probes, reference, path):
@@ -96,9 +121,11 @@ def main(argv):
     args = parser.parse_args(argv[1:])
 
     with open(args.old) as f:
-        old = dict(flatten(json.load(f)))
+        old_doc = json.load(f)
     with open(args.new) as f:
-        new = dict(flatten(json.load(f)))
+        new_doc = json.load(f)
+    old = dict(flatten(old_doc))
+    new = dict(flatten(new_doc))
     if args.normalize:
         old_n = normalize(old, args.normalize, args.old)
         new_n = normalize(new, args.normalize, args.new)
@@ -141,6 +168,12 @@ def main(argv):
     if not shared:
         print("no shared probes between the two files (nothing to gate)")
     if args.gate:
+        mismatches = context_mismatches(old_doc, new_doc)
+        if mismatches:
+            print(f"CROSS-CONTEXT: recording context differs or is unknown "
+                  f"between {args.old} and {args.new} "
+                  f"({'; '.join(mismatches)}); the ratios compare machines "
+                  f"as well as code")
         if regressions:
             print(f"PERF GATE FAILED: {len(regressions)} probe(s) slower "
                   f"than {args.threshold}x baseline: {', '.join(regressions)}")

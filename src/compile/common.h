@@ -36,10 +36,6 @@
 #include "sim/arc_buffer.h"
 #include "sim/message.h"
 
-namespace mobile::util {
-class ThreadPool;
-}
-
 namespace mobile::compile {
 
 using graph::EdgeId;
@@ -276,10 +272,7 @@ void freezePackingViews(PackingKnowledge& pk, const Graph& g,
 
 /// Builds consistent distributed knowledge from a (centralized) packing --
 /// the trusted-preprocessing path of Theorem 1.4(ii) / Corollary 3.9.
-/// `pool` (optional) parallelizes the per-node fill; the output is
-/// identical at any thread count.
 [[nodiscard]] std::shared_ptr<PackingKnowledge> distributePacking(
-    const Graph& g, const graph::TreePacking& packing, int depthBound,
-    util::ThreadPool* pool = nullptr);
+    const Graph& g, const graph::TreePacking& packing, int depthBound);
 
 }  // namespace mobile::compile

@@ -1,7 +1,6 @@
 #include "exp/precompute_cache.h"
 
 #include "obs/obs.h"
-#include "util/thread_pool.h"
 
 namespace mobile::exp {
 
@@ -41,16 +40,6 @@ PrecomputeCache& PrecomputeCache::global() {
   return cache;
 }
 
-void PrecomputeCache::setComputePool(util::ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(poolMu_);
-  pool_ = pool;
-}
-
-util::ThreadPool* PrecomputeCache::computePool() const {
-  std::lock_guard<std::mutex> lock(poolMu_);
-  return pool_;
-}
-
 PrecomputeCache::Key PrecomputeCache::key(Kind kind, const graph::Graph& g,
                                           int k, graph::NodeId root,
                                           int depth) {
@@ -85,9 +74,8 @@ std::shared_ptr<const graph::TreePacking> PrecomputeCache::greedyTreePacking(
   recordMiss();
   const obs::TraceArg spanArgs[] = {{"n", g.nodeCount()}, {"k", k}};
   const obs::Span span("compile", "preprocess.greedy_tree", spanArgs, 2);
-  std::lock_guard<std::mutex> plock(poolMu_);
   auto p = std::make_shared<const graph::TreePacking>(
-      graph::greedyLowDepthPacking(g, k, root, depthCap, pool_));
+      graph::greedyLowDepthPacking(g, k, root, depthCap));
   entries_[id] = p;
   return p;
 }
@@ -110,8 +98,7 @@ std::shared_ptr<const compile::PackingKnowledge> PrecomputeCache::starPacking(
     const obs::TraceArg spanArgs[] = {{"n", g.nodeCount()},
                                       {"k", static_cast<int>(tree->size())}};
     const obs::Span span("compile", "preprocess.distribute", spanArgs, 2);
-    std::lock_guard<std::mutex> plock(poolMu_);
-    return compile::distributePacking(g, *tree, depthBound, pool_);
+    return compile::distributePacking(g, *tree, depthBound);
   }();
   recordKnowledgeSize(*pk);
   std::lock_guard<std::mutex> lock(mu_);
@@ -139,8 +126,7 @@ std::shared_ptr<const compile::PackingKnowledge> PrecomputeCache::greedyPacking(
   auto pk = [&] {
     const obs::TraceArg spanArgs[] = {{"n", g.nodeCount()}, {"k", k}};
     const obs::Span span("compile", "preprocess.distribute", spanArgs, 2);
-    std::lock_guard<std::mutex> plock(poolMu_);
-    return compile::distributePacking(g, *tree, depthCap, pool_);
+    return compile::distributePacking(g, *tree, depthCap);
   }();
   recordKnowledgeSize(*pk);
   std::lock_guard<std::mutex> lock(mu_);

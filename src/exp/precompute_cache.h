@@ -11,9 +11,10 @@
 //
 // PrecomputeCache keys results by (structuralFingerprint(graph), kind,
 // k, root, depth) and hands out shared_ptr<const ...> so concurrent trials
-// on the ExperimentDriver's pool share one computation.  Lookups and
-// first-computations are serialized by a mutex: a packing is computed once
-// even when many lanes ask for it simultaneously.
+// on the ExperimentDriver's pool share one computation.  Lookups and tree
+// packings are serialized by a mutex, so a tree packing is computed once
+// even when many lanes ask for it simultaneously; packing distribution
+// runs outside the lock and racing lanes adopt the first entry inserted.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +27,6 @@
 #include "graph/graph.h"
 #include "graph/tree_packing.h"
 
-namespace mobile::util {
-class ThreadPool;
-}
-
 namespace mobile::exp {
 
 class PrecomputeCache {
@@ -40,16 +37,6 @@ class PrecomputeCache {
 
   /// Process-wide instance benches and examples share.
   [[nodiscard]] static PrecomputeCache& global();
-
-  /// Lends `pool` to cache-miss computations (tree packings, packing
-  /// distribution) until reset.  Results are bit-identical with and without
-  /// a pool -- the parallel builders merge in a fixed order -- so warming
-  /// the cache through a pool and reading it from driver lanes is safe.
-  /// The pool must outlive its registration; pooled sections are serialized
-  /// internally because util::ThreadPool forbids concurrent parallelFor
-  /// calls.  Pass nullptr to go back to sequential computation.
-  void setComputePool(util::ThreadPool* pool);
-  [[nodiscard]] util::ThreadPool* computePool() const;
 
   /// Star packing of the clique (Theorem 1.6): k = n, DTP = 2, eta = 2.
   [[nodiscard]] std::shared_ptr<const graph::TreePacking> starTreePacking(
@@ -81,10 +68,6 @@ class PrecomputeCache {
                                graph::NodeId root, int depth);
 
   mutable std::mutex mu_;
-  // Serializes pooled compute sections (ThreadPool::parallelFor is not
-  // reentrant across callers).  Ordered after mu_: holders never take mu_.
-  mutable std::mutex poolMu_;
-  util::ThreadPool* pool_ = nullptr;
   std::map<Key, std::shared_ptr<const void>> entries_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

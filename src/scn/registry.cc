@@ -71,12 +71,27 @@ std::vector<graph::EdgeId> firstEdges(const Params& p) {
   return targets;
 }
 
+/// The star packing (Theorem 1.6) needs every star edge, i.e. a clique;
+/// on any other graph its trees would reference missing edges.
+void requireStarPackable(const Graph& g) {
+  const auto n = static_cast<std::int64_t>(g.nodeCount());
+  const auto m = static_cast<std::int64_t>(g.edgeCount());
+  if (m != n * (n - 1) / 2)
+    throw ScnError("packing=star needs a complete graph (n=" +
+                   std::to_string(n) + " has " + std::to_string(m) +
+                   " edges, not " + std::to_string(n * (n - 1) / 2) +
+                   "); use packing=greedy");
+}
+
 /// Trusted-preprocessing packing, shared across grid points with the same
 /// graph fingerprint via the global PrecomputeCache.
 std::shared_ptr<const compile::PackingKnowledge> packingFor(const Graph& g,
                                                             const Params& p) {
   const std::string kind = p.str("packing", "star");
-  if (kind == "star") return exp::PrecomputeCache::global().starPacking(g, 2);
+  if (kind == "star") {
+    requireStarPackable(g);
+    return exp::PrecomputeCache::global().starPacking(g, 2);
+  }
   if (kind == "greedy") {
     const int k = static_cast<int>(p.integer("k", 4));
     const auto root = static_cast<NodeId>(p.integer("root", 0));
@@ -327,14 +342,15 @@ void registerAdversaries(Registry<AdversaryFactory>& r) {
   r.add("tree_targeted_byz",
         "spreads hits over distinct packing trees (f, packing, aseed)",
         [](const Graph& g, const Params& p) -> P {
+          const bool star = p.str("packing", "star") == "star";
+          if (star) requireStarPackable(g);
           const auto packing =
-              p.str("packing", "star") == "star"
-                  ? exp::PrecomputeCache::global().starTreePacking(g)
-                  : exp::PrecomputeCache::global().greedyTreePacking(
-                        g, static_cast<int>(p.integer("k", 4)),
-                        static_cast<NodeId>(p.integer("root", 0)),
-                        static_cast<int>(
-                            lazyDiameterDefault(p, "depthcap", g, 1)));
+              star ? exp::PrecomputeCache::global().starTreePacking(g)
+                   : exp::PrecomputeCache::global().greedyTreePacking(
+                         g, static_cast<int>(p.integer("k", 4)),
+                         static_cast<NodeId>(p.integer("root", 0)),
+                         static_cast<int>(
+                             lazyDiameterDefault(p, "depthcap", g, 1)));
           return std::make_unique<adv::TreeTargetedByzantine>(
               advF(p), *packing, g, advSeed(p));
         });

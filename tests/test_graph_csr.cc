@@ -1,9 +1,10 @@
 // The CSR graph's differential gate (ISSUE 6).
 //
-// The legacy adjacency-vector Graph (preserved as graph::LegacyGraph) is
-// the reference: 200 random graphs spanning n = 0..60, four density bands,
-// and shuffled edge-insertion orders are built through BOTH layouts from
-// the same edge sequence, and every observable surface must agree --
+// The legacy adjacency-vector Graph (graph::LegacyGraph, kept test-only in
+// legacy_graph.h) is the reference: 200 random graphs spanning n = 0..60,
+// four density bands, and shuffled edge-insertion orders are built through
+// BOTH layouts from the same edge sequence, and every observable surface
+// must agree --
 // adjacency iteration order (the contract that keeps every algorithm
 // fingerprint bit-identical), degrees, edgeBetween / arcFromTo lookups,
 // arc endpoint/edge resolution, and structuralFingerprint.  The CSR arc
@@ -18,7 +19,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/legacy_graph.h"
+#include "legacy_graph.h"
 #include "util/rng.h"
 
 namespace mobile::graph {

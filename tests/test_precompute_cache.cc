@@ -1,6 +1,10 @@
 // exp::PrecomputeCache: packing preprocessing shared across trials.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "exp/precompute_cache.h"
 #include "graph/generators.h"
 
@@ -65,6 +69,46 @@ TEST(PrecomputeCache, KeysSeparateParametersAndGraphs) {
   const auto recomputed = cache.starPacking(g8, 2);
   EXPECT_NE(recomputed.get(), a.get());
   EXPECT_EQ(recomputed->k, a->k);
+}
+
+// ExperimentDriver lanes hit the cache concurrently.  Every lane must get
+// the one cached object, and racing lanes must not record misses a lone
+// caller would not (a lane that loses the race adopts the winner's entry).
+TEST(PrecomputeCache, ConcurrentLanesShareOneEntry) {
+  auto& cache = exp::PrecomputeCache::global();
+  const graph::Graph g = graph::clique(16);
+  g.finalize();  // lanes share the graph: lock the CSR layout first
+
+  cache.clear();
+  (void)cache.greedyPacking(g, 4, 0, 3);
+  (void)cache.starPacking(g, 2);
+  const std::size_t soloMisses = cache.misses();
+  cache.clear();
+
+  constexpr int kLanes = 8;
+  std::vector<const compile::PackingKnowledge*> greedy(kLanes, nullptr);
+  std::vector<const compile::PackingKnowledge*> star(kLanes, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> lanes;
+  for (int i = 0; i < kLanes; ++i) {
+    lanes.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kLanes) std::this_thread::yield();
+      greedy[static_cast<std::size_t>(i)] =
+          cache.greedyPacking(g, 4, 0, 3).get();
+      star[static_cast<std::size_t>(i)] = cache.starPacking(g, 2).get();
+    });
+  }
+  for (auto& t : lanes) t.join();
+
+  ASSERT_NE(greedy[0], nullptr);
+  ASSERT_NE(star[0], nullptr);
+  for (int i = 1; i < kLanes; ++i) {
+    EXPECT_EQ(greedy[static_cast<std::size_t>(i)], greedy[0]) << "lane " << i;
+    EXPECT_EQ(star[static_cast<std::size_t>(i)], star[0]) << "lane " << i;
+  }
+  EXPECT_EQ(cache.misses(), soloMisses);
+  cache.clear();
 }
 
 }  // namespace

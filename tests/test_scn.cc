@@ -185,6 +185,31 @@ TEST(TrialBuilder, UnknownRegistryNamesThrow) {
       scn::ScnError);
 }
 
+// The star packing (the default) exists only on cliques.  Elsewhere its
+// trees would name missing edges, so building must fail with a pointer to
+// packing=greedy instead of handing the compiler a corrupt packing.
+TEST(TrialBuilder, StarPackingOnNonCliqueThrows) {
+  scn::TrialBuilder builder;
+  for (const char* tokens :
+       {"graph=hypercube dim=4 algo=gossip mask=32 compile=byz_tree f=1",
+        "graph=torus rows=4 cols=4 algo=gossip mask=32 compile=rewind f=1",
+        "graph=hypercube dim=4 algo=gossip mask=32 adv=tree_targeted_byz "
+        "f=1"}) {
+    try {
+      (void)builder.build(scn::Params::fromTokens(tokens), "star");
+      ADD_FAILURE() << "expected ScnError for: " << tokens;
+    } catch (const scn::ScnError& e) {
+      EXPECT_NE(std::string(e.what()).find("packing=greedy"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)builder.build(
+      scn::Params::fromTokens("graph=clique n=8 algo=gossip mask=32 "
+                              "compile=byz_tree f=1 adv=tree_targeted_byz"),
+      "clique"));
+}
+
 TEST(TrialBuilder, TypodAxisIsRejectedNotIgnored) {
   scn::TrialBuilder builder;
   const scn::Params point = scn::Params::fromTokens(
