@@ -53,8 +53,8 @@ struct SketchScratch {
   unsigned levels = 0;
   std::optional<sketch::L0Sampler> l0Recv;
   unsigned l0RecvLevels = 0;
-  std::vector<std::uint64_t> words;
   std::vector<std::uint64_t> tmp;
+  sim::Msg bundle;  // the upcast wire message, rebuilt in place per send
 };
 
 SketchScratch& scratch() {
@@ -131,6 +131,7 @@ class ByzNode final : public NodeState {
     // by every exchange, so the shape is fixed up front.
     sentKey_.assign(g_.degree(self_), 0);
     estKey_.assign(g_.degree(self_), 0);
+    buildSendSlots();
   }
 
   void send(int round, Outbox& out) override {
@@ -147,9 +148,9 @@ class ByzNode final : public NodeState {
     for (std::size_t i = 0; i < nbs.size(); ++i) {
       const int tree = view_.treeAt(static_cast<int>(i), p.slot);
       if (tree < 0) continue;
-      Msg m = p.inSketch ? sketchMessage(tree, p, nbs[i].node)
-                         : eccMessage(tree, p, nbs[i].node);
-      if (m.present) out.to(nbs[i].node, m);
+      const Msg* m = p.inSketch ? sketchMessage(tree, p, nbs[i].node)
+                                : eccMessage(tree, p, nbs[i].node);
+      if (m != nullptr) out.to(nbs[i].node, *m);
     }
   }
 
@@ -164,14 +165,20 @@ class ByzNode final : public NodeState {
       return;
     }
     const int rho = slots_.rho;
+    // Votes are stamped with the round of their rep 0; the last rep of a
+    // vote that holds a present copy must run even without mail.
+    const int voteStamp = round - p.rep * slots_.eta;
+    const int lastRep = voteStamp + (rho - 1) * slots_.eta;
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
       const int tree = view_.treeAt(static_cast<int>(i), p.slot);
       if (tree < 0) continue;
       VoteSlot& vs = stashSlot(i, p.slot);
-      if (p.rep == 0) vs.reset();
-      vs.add(in.from(nbs[i].node));
-      if (p.rep == rho - 1) {
+      const MsgView copy = in.from(nbs[i].node);
+      vs.addAt(voteStamp, p.rep, copy);
+      if (p.rep < rho - 1) {
+        if (copy.present()) noteVoteWake(round, lastRep);
+      } else {
         const Msg& maj = vs.winner();
         if (p.inSketch)
           handleSketch(tree, p, nbs[i].node, maj);
@@ -190,6 +197,17 @@ class ByzNode final : public NodeState {
   [[nodiscard]] bool done() const override { return done_; }
   [[nodiscard]] std::uint64_t output() const override {
     return inner_->output();
+  }
+
+  /// Due rounds: the exchange, iteration-start and finish rounds (all
+  /// nodes), every rep of this node's send slots, and the last rep of any
+  /// vote holding a present copy.  Rounds that only receive are woken by
+  /// mail.
+  [[nodiscard]] int nextWake(int round) const override {
+    const int next = round + 1;
+    int wake = scheduleWake(next);
+    if (voteWakeHi_ >= next) wake = std::min(wake, std::max(next, voteWakeLo_));
+    return wake;
   }
 
  private:
@@ -219,6 +237,105 @@ class ByzNode final : public NodeState {
       p.slot = slots_.slotOf(e);
     }
     return p;
+  }
+
+  /// The first round >= `from` at which the schedule needs this node.
+  [[nodiscard]] int scheduleWake(int from) const {
+    if (from > sched_.totalRounds) return from;
+    const int offset = (from - 1) % sched_.roundsPerSimRound;
+    if (offset == 0) return from;  // exchange
+    const int r = (offset - 1) % sched_.roundsPerIteration;
+    if (r == 0) return from;  // iteration start
+    const int iterStart = from - r;
+    const int finish = iterStart + sched_.roundsPerIteration - 1;
+    const int perStep = slots_.roundsPerStep();
+    const int sketchRounds = slots_.blockRounds(sched_.sketchSteps);
+    const int chunkRounds = (pk_->depthBound + 1) * perStep;
+    const int rep = slots_.repOf(r);
+    const int slot = slots_.slotOf(r);
+    int due = -1;  // round offset within the iteration
+    if (r < sketchRounds) {
+      int o = firstDue(sketchSlots_, r / perStep, rep, slot);
+      if (o >= 0) {
+        due = o;
+      } else if ((o = firstDue(eccSlots_, 0, 0, 0)) >= 0) {
+        due = sketchRounds + o;
+      }
+    } else {
+      const int chunk = (r - sketchRounds) / chunkRounds;
+      const int e = (r - sketchRounds) % chunkRounds;
+      const int base = sketchRounds + chunk * chunkRounds;
+      int o = firstDue(eccSlots_, e / perStep, rep, slot);
+      if (o >= 0) {
+        due = base + o;
+      } else if (chunk + 1 < sched_.chunks &&
+                 (o = firstDue(eccSlots_, 0, 0, 0)) >= 0) {
+        due = base + chunkRounds + o;
+      }
+    }
+    return due < 0 ? finish : std::min(finish, iterStart + due);
+  }
+
+  /// Offset, within a block whose steps `codes` indexes, of the first due
+  /// round at or after (step, rep, slot); -1 when none is left in the
+  /// block.  A (step, slot) code is due at every rep of its step.
+  [[nodiscard]] int firstDue(const std::vector<int>& codes, int step, int rep,
+                             int slot) const {
+    const int eta = slots_.eta;
+    const int perStep = slots_.roundsPerStep();
+    const auto it =
+        std::lower_bound(codes.begin(), codes.end(), step * eta + slot);
+    if (it != codes.end() && *it / eta == step)
+      return step * perStep + rep * eta + *it % eta;  // later slot, this rep
+    if (rep + 1 < slots_.rho) {
+      const auto first =
+          std::lower_bound(codes.begin(), codes.end(), step * eta);
+      if (first != codes.end() && *first / eta == step)
+        return step * perStep + (rep + 1) * eta + *first % eta;  // next rep
+    }
+    if (it == codes.end()) return -1;
+    return *it / eta * perStep + *it % eta;  // rep 0 of a later step
+  }
+
+  /// The (step, slot) pairs at which send() may emit on some arc, coded
+  /// step * eta + slot, per arc and slot for the tree scheduled there:
+  /// sketchSlots_ holds the seed flood at step d+1 towards a child and the
+  /// upcast at step 2D+1-d towards the parent; eccSlots_ the forward at
+  /// wstep d+1 towards a child, which recurs in every ECC chunk.
+  void buildSendSlots() {
+    const int D = pk_->depthBound;
+    const int eta = slots_.eta;
+    const auto& nbs = g_.neighbors(self_);
+    sketchSlots_.reserve(2 * nbs.size() * static_cast<std::size_t>(eta));
+    eccSlots_.reserve(nbs.size() * static_cast<std::size_t>(eta));
+    for (std::size_t i = 0; i < nbs.size(); ++i) {
+      for (int slot = 0; slot < eta; ++slot) {
+        const int tree = view_.treeAt(static_cast<int>(i), slot);
+        if (tree < 0) continue;
+        const int d = depthIn(tree);
+        if (d < 0) continue;
+        if (isChildIn(tree, nbs[i].node)) {
+          sketchSlots_.push_back(d * eta + slot);
+          if (d <= D) eccSlots_.push_back(d * eta + slot);
+        }
+        if (d > 0 && nbs[i].node == parentIn(tree))
+          sketchSlots_.push_back((2 * D - d) * eta + slot);
+      }
+    }
+    for (std::vector<int>* codes : {&sketchSlots_, &eccSlots_}) {
+      std::sort(codes->begin(), codes->end());
+      codes->erase(std::unique(codes->begin(), codes->end()), codes->end());
+    }
+  }
+
+  /// A vote received a present copy at `round`: wake at its last rep.
+  void noteVoteWake(int round, int lastRep) {
+    if (voteWakeHi_ < round) {
+      voteWakeLo_ = voteWakeHi_ = lastRep;
+    } else {
+      voteWakeLo_ = std::min(voteWakeLo_, lastRep);
+      voteWakeHi_ = std::max(voteWakeHi_, lastRep);
+    }
   }
 
   [[nodiscard]] int sketchBlockStartRound(const Pos& p) const {
@@ -261,7 +378,7 @@ class ByzNode final : public NodeState {
           present ? 0u : static_cast<unsigned>(kAbsentChunk), payload);
       sentKey_[i] = key;
       if (shared_) shared_->sentTruth[{self_, nbs[i].node}] = key;
-      out.to(nbs[i].node, sim::resetScratch(exchMsg_).push(payload).push(
+      out.to(nbs[i].node, sim::resetScratch(wireMsg_).push(payload).push(
                               present ? 1u : 0u));
     }
   }
@@ -420,26 +537,36 @@ class ByzNode final : public NodeState {
 
   // --- sketch block ----------------------------------------------------------
 
-  [[nodiscard]] Msg sketchMessage(int tree, const Pos& p, NodeId to) {
+  // The send builders return the message for `to` in this slot, or
+  // nullptr when nothing is sent.  Messages are built in reused buffers
+  // (one-word sends in the node's wire scratch, upcast bundles in the
+  // per-thread sketch scratch) that stay valid until the next call: the
+  // caller hands them straight to the outbox, so no send allocates.
+
+  [[nodiscard]] const Msg* sketchMessage(int tree, const Pos& p, NodeId to) {
     const int d = depthIn(tree);
     const int D = pk_->depthBound;
-    if (d < 0) return {};
+    if (d < 0) return nullptr;
     if (p.step <= D) {
       // Seed flood: depth step-1 nodes forward to children.
-      if (d == p.step - 1 && seed_.count(tree) && isChildIn(tree, to))
-        return Msg::of(seed_.at(tree));
-      return {};
+      if (d == p.step - 1 && isChildIn(tree, to)) {
+        const auto it = seed_.find(tree);
+        if (it != seed_.end())
+          return &sim::resetScratch(wireMsg_).push(it->second);
+      }
+      return nullptr;
     }
     // Upcast: depth d sends at step 2D+1-d to its parent.
     if (d > 0 && p.step == 2 * D + 1 - d && to == parentIn(tree)) {
       const std::uint64_t ts = seed_.count(tree) ? seed_.at(tree) : 0;
+      SketchScratch& sc = scratch();
+      Msg& bundle = sim::resetScratch(sc.bundle);
       if (opts_.correction == CorrectionMode::SparseOneShot) {
         sketch::SparseRecovery& mine = localSparse(ts);
         const auto acc = sparseAccum_.find(tree);
         if (acc != sparseAccum_.end()) mine.merge(acc->second);
-        std::vector<std::uint64_t>& words = scratch().words;
-        mine.serializeInto(words);
-        return Msg::ofWords(words);
+        mine.serializeInto(bundle.words);
+        return &bundle;
       }
       std::vector<sketch::L0Sampler>& mine = localSketches(ts);
       const auto acc = accum_.find(tree);
@@ -448,15 +575,13 @@ class ByzNode final : public NodeState {
           mine[static_cast<std::size_t>(h)].merge(
               acc->second[static_cast<std::size_t>(h)]);
       }
-      SketchScratch& sc = scratch();
-      sc.words.clear();
       for (const auto& s : mine) {
         s.serializeInto(sc.tmp);
-        sc.words.insert(sc.words.end(), sc.tmp.begin(), sc.tmp.end());
+        bundle.words.insert(bundle.words.end(), sc.tmp.begin(), sc.tmp.end());
       }
-      return Msg::ofWords(sc.words);
+      return &bundle;
     }
-    return {};
+    return nullptr;
   }
 
   void handleSketch(int tree, const Pos& p, NodeId from, const Msg& m) {
@@ -601,23 +726,23 @@ class ByzNode final : public NodeState {
 
   // --- ECC block -------------------------------------------------------------
 
-  [[nodiscard]] Msg eccMessage(int tree, const Pos& p, NodeId to) {
+  [[nodiscard]] const Msg* eccMessage(int tree, const Pos& p, NodeId to) {
     const int D = pk_->depthBound;
     const int chunk = (p.step - 1) / (D + 1);
     const int wstep = (p.step - 1) % (D + 1) + 1;
     const int d = depthIn(tree);
-    if (d < 0 || !isChildIn(tree, to)) return {};
+    if (d < 0 || !isChildIn(tree, to)) return nullptr;
     if (isRoot_ && !dmComputed_) computeDm(p);
-    if (d != wstep - 1) return {};
+    if (d != wstep - 1) return nullptr;
     if (isRoot_) {
-      return Msg::of(
+      return &sim::resetScratch(wireMsg_).push(
           shares_[static_cast<std::size_t>(chunk)]
                  [static_cast<std::size_t>(tree)]
               .value());
     }
     const auto it = fwdShare_.find({tree, chunk});
-    if (it == fwdShare_.end()) return {};
-    return Msg::of(it->second);
+    if (it == fwdShare_.end()) return nullptr;
+    return &sim::resetScratch(wireMsg_).push(it->second);
   }
 
   void handleEcc(int tree, const Pos& p, NodeId from, const Msg& m) {
@@ -713,9 +838,9 @@ class ByzNode final : public NodeState {
   /// Exchange-step surfaces, adjacency-indexed and rewritten in place each
   /// sim round: the member capture collects the inner algorithm's sends,
   /// the key tables hold my sends / estimated receipts in key form, and
-  /// exchMsg_ is the reused wire buffer.
+  /// wireMsg_ is the reused buffer of every one- and two-word send.
   sim::FlatCapture exchCapture_;
-  Msg exchMsg_;
+  Msg wireMsg_;
   std::vector<std::uint64_t> sentKey_;  // [nbIndex] my round-i sends
   std::vector<std::uint64_t> estKey_;   // [nbIndex] estimates of receipts
   std::vector<std::pair<std::uint64_t, std::int64_t>> entries_;
@@ -725,8 +850,15 @@ class ByzNode final : public NodeState {
   std::map<int, std::vector<sketch::L0Sampler>> accum_;  // children merges
   std::map<int, sketch::SparseRecovery> sparseAccum_;    // SparseOneShot mode
   /// Repetition stash, [neighbor slot][schedule slot] flattened; fixed
-  /// shape, vote slots rewritten in place every scheduled round.
+  /// shape, vote slots rewritten in place (lazily, see VoteSlot::addAt).
   std::vector<VoteSlot> stash_;
+  /// The wake schedule: sorted send slots of the sketch block and of one
+  /// ECC chunk (buildSendSlots), and the round range holding the last reps
+  /// of votes with a present copy.
+  std::vector<int> sketchSlots_;
+  std::vector<int> eccSlots_;
+  int voteWakeLo_ = 0;
+  int voteWakeHi_ = 0;
 
   bool dmComputed_ = false;
   std::vector<std::uint64_t> dmKeys_;

@@ -71,9 +71,29 @@ using graph::NodeId;
 /// winner is the first value attaining the maximum count (majorityRef's
 /// strict-> scan picks the same one).  Capacity is kept across reset(),
 /// preserving the compilers' no-steady-state-allocation idiom.
+///
+/// addAt() is the lazy-reset form for nodes that skip idle rounds (the
+/// NodeState::nextWake contract): a vote is identified by a stamp, and the
+/// copies of the reps the node did not run count as absent -- a node skips
+/// a round only when no present arc reached it.  Without that back-fill
+/// the first-occurrence tie-break changes: with rho = 3 the full vote
+/// {absent, m, absent} is absent, the clipped {m, absent} a tie won by m.
 class VoteSlot {
  public:
   void reset() { used_ = 0; }
+  /// Records copy `rep` (0-based) of the vote stamped `stamp`: a new stamp
+  /// restarts the slot, and reps skipped since the last recorded one are
+  /// added as absent copies first.
+  void addAt(int stamp, int rep, const sim::MsgView& m) {
+    if (stamp != stamp_) {
+      stamp_ = stamp;
+      used_ = 0;
+      reps_ = 0;
+    }
+    for (; reps_ < rep; ++reps_) add(sim::MsgView());
+    add(m);
+    ++reps_;
+  }
   void add(const sim::MsgView& m) {
     for (std::size_t j = 0; j < used_; ++j) {
       if (sim::sameContent(m, vals_[j])) {
@@ -99,7 +119,9 @@ class VoteSlot {
  private:
   std::vector<sim::Msg> vals_;        // distinct, first-occurrence order
   std::vector<std::uint16_t> cnt_;    // multiplicity per distinct value
-  std::size_t used_ = 0;
+  std::uint16_t used_ = 0;
+  std::uint16_t reps_ = 0;  // addAt: copies recorded under stamp_
+  int stamp_ = 0;           // addAt: the vote in progress (0 = none)
 };
 
 // --- 61-bit message keys -----------------------------------------------------

@@ -75,12 +75,20 @@ TrialResult runTrial(const TrialSpec& spec) {
     r.fingerprint = sim::fingerprintOutputs(merge.outputs);
     r.ok = !spec.expect || r.fingerprint == *spec.expect;
     if (obs::enabled()) {
-      // Per-trial metric snapshot: the engine's phase wall-time split rides
-      // TrialResult::extra into the campaign JSONL line.
+      // Per-trial metric snapshot: the engine's phase wall-time split and
+      // the share of node-rounds that ran (the wake schedule's activity)
+      // ride TrialResult::extra into the campaign JSONL line.
       const auto& ms = net.phaseMillis();
       for (std::size_t i = 0; i < sim::Network::kPhaseCount; ++i)
         r.extra[std::string("t_") + sim::Network::kPhaseNames[i] + "_ms"] =
             ms[i];
+      const double nodeRounds =
+          static_cast<double>(net.plane().localNodeHi() -
+                              net.plane().localNodeLo()) *
+          static_cast<double>(r.rounds);
+      r.extra["node_wake_share"] =
+          nodeRounds > 0.0 ? static_cast<double>(net.nodeRuns()) / nodeRounds
+                           : 0.0;
     }
     if (spec.observe) spec.observe(net, adversary.get(), r);
   } catch (const sim::PlaneError& e) {

@@ -56,7 +56,10 @@ Network::Network(const graph::Graph& g, const Algorithm& algo,
       arcTraffic_(static_cast<std::size_t>(g.arcCount()), 0),
       nodeMsgs_(static_cast<std::size_t>(g.nodeCount()), 0),
       nodeMaxWords_(static_cast<std::size_t>(g.nodeCount()), 0),
-      nodeWords_(static_cast<std::size_t>(g.nodeCount()), 0) {
+      nodeWords_(static_cast<std::size_t>(g.nodeCount()), 0),
+      wake_(static_cast<std::size_t>(g.nodeCount())),
+      mail_(static_cast<std::size_t>(g.nodeCount())),
+      nodeDone_(static_cast<std::size_t>(g.nodeCount())) {
   g_.finalize();  // lock the CSR layout before any parallel phase reads it
   if (opts_.planeImpl) {
     plane_ = opts_.planeImpl;
@@ -106,16 +109,19 @@ void Network::rebuildNodes() {
       continue;
     slot = algo_.makeNode(v, g_, rng);
   }
-  bool localDone = true;
+  // Every node is due in round 1; nothing has mail yet.
+  std::fill(wake_.begin(), wake_.end(), 1);
+  std::fill(mail_.begin(), mail_.end(), 0);
+  notDone_ = 0;
   for (graph::NodeId v = plane_->localNodeLo(); v < plane_->localNodeHi();
-       ++v)
-    if (!nodes_[static_cast<std::size_t>(v)]->done()) {
-      localDone = false;
-      break;
-    }
+       ++v) {
+    const bool d = nodes_[static_cast<std::size_t>(v)]->done();
+    nodeDone_[static_cast<std::size_t>(v)] = d ? 1 : 0;
+    if (!d) ++notDone_;
+  }
   // Resolve across engines even here: every rank must agree whether the
   // run starts at all.
-  allDone_ = plane_->resolveAllDone(localDone);
+  allDone_ = plane_->resolveAllDone(notDone_ == 0);
 }
 
 void Network::reset(std::uint64_t seed) {
@@ -124,6 +130,7 @@ void Network::reset(std::uint64_t seed) {
   messagesSent_ = 0;
   maxWords_ = 0;
   snapshotWords_ = 0;
+  nodeRuns_ = 0;
   plane_->reset();
   std::fill(arcTraffic_.begin(), arcTraffic_.end(), 0);
   phaseMs_.fill(0.0);
@@ -133,23 +140,17 @@ void Network::reset(std::uint64_t seed) {
 
 void Network::reset() { reset(seed_); }
 
-void Network::forEachLocalNode(const std::function<void(graph::NodeId)>& fn) {
-  const graph::NodeId lo = plane_->localNodeLo();
-  const auto n = static_cast<std::size_t>(plane_->localNodeHi() - lo);
+void Network::forEachNode(const std::vector<graph::NodeId>& nodes,
+                          const std::function<void(graph::NodeId)>& fn) {
+  const std::size_t n = nodes.size();
   if (pool_) {
     // Chunk so a lane claims a contiguous block of nodes per atomic fetch;
     // per-node work is small, so amortize the cursor traffic.
     const std::size_t grain = std::max<std::size_t>(
         1, n / (static_cast<std::size_t>(pool_->size()) * 4));
-    pool_->parallelFor(
-        n,
-        [&](std::size_t i) {
-          fn(lo + static_cast<graph::NodeId>(i));
-        },
-        grain);
+    pool_->parallelFor(n, [&](std::size_t i) { fn(nodes[i]); }, grain);
   } else {
-    for (std::size_t i = 0; i < n; ++i)
-      fn(lo + static_cast<graph::NodeId>(i));
+    for (const graph::NodeId v : nodes) fn(v);
   }
 }
 
@@ -177,9 +178,14 @@ void Network::sendPhase() {
   // its own out-arcs -- the contiguous CSR range starting at the row's
   // firstArc(), all local to its shard -- and deposits its message count /
   // widest message in per-node slots that accountPhase reduces
-  // sequentially.
+  // sequentially.  Only nodes whose wake round is due send: the wake
+  // contract guarantees the others would send nothing.
+  due_.clear();
+  for (graph::NodeId v = plane_->localNodeLo(); v < plane_->localNodeHi();
+       ++v)
+    if (wake_[static_cast<std::size_t>(v)] <= round_) due_.push_back(v);
   ShardedPlane& storage = plane_->storage();
-  forEachLocalNode([&](graph::NodeId v) {
+  forEachNode(due_, [&](graph::NodeId v) {
     ArcOutbox out(g_, v, storage);
     nodes_[static_cast<std::size_t>(v)]->send(round_, out);
     const std::size_t shard = storage.shardOfNode(v);
@@ -211,19 +217,33 @@ void Network::sendPhase() {
 }
 
 void Network::accountPhase() {
-  // O(local nodes) reduction of the per-node tallies the send pass
-  // deposited.  Bandwidth enforcement happens here, before the adversary
-  // acts, exactly as the per-arc scan used to.
+  // O(senders) reduction of the per-node tallies the send pass deposited
+  // (only nodes that ran have fresh slots).  Bandwidth enforcement happens
+  // here, before the adversary acts, exactly as the per-arc scan used to.
+  // Senders that sent also stamp mail on their receivers -- sequentially,
+  // since a receiver's stamp has many writers.
   std::size_t widest = 0;
-  for (graph::NodeId v = plane_->localNodeLo(); v < plane_->localNodeHi();
-       ++v) {
-    messagesSent_ += nodeMsgs_[static_cast<std::size_t>(v)];
-    widest = std::max(widest, nodeMaxWords_[static_cast<std::size_t>(v)]);
+  for (const graph::NodeId v : due_) {
+    const auto i = static_cast<std::size_t>(v);
+    messagesSent_ += nodeMsgs_[i];
+    widest = std::max(widest, nodeMaxWords_[i]);
+    if (nodeMsgs_[i] != 0) markOutMail(v);
   }
   if (widest > opts_.maxWordsPerMsg)
     throw std::logic_error("message exceeds bandwidth cap");
   maxWords_ = std::max(maxWords_, widest);
   if (obs::enabled()) accountObserved();
+}
+
+void Network::markOutMail(graph::NodeId v) {
+  const ShardedPlane& storage = plane_->storage();
+  const std::size_t shard = storage.shardOfNode(v);
+  const ArcBuffer& buf = storage.shard(shard);
+  const graph::ArcId local = g_.firstOutArc(v) - storage.arcBase(shard);
+  const auto nbs = g_.neighbors(v);
+  for (std::size_t i = 0; i < nbs.size(); ++i)
+    if (buf.present(local + static_cast<graph::ArcId>(i)))
+      mail_[static_cast<std::size_t>(nbs[i].node)] = round_;
 }
 
 void Network::accountObserved() {
@@ -235,8 +255,7 @@ void Network::accountObserved() {
   obs::Registry& reg = obs::registry();
   std::uint64_t msgs = 0;
   std::uint64_t words = 0;
-  for (graph::NodeId v = plane_->localNodeLo(); v < plane_->localNodeHi();
-       ++v) {
+  for (const graph::NodeId v : due_) {
     const auto i = static_cast<std::size_t>(v);
     if (nodeMsgs_[i] == 0) continue;
     msgs += static_cast<std::uint64_t>(nodeMsgs_[i]);
@@ -260,6 +279,13 @@ void Network::adversaryPhase() {
   adv::TamperView view(g_, adversary_->spec(), round_, storage,
                        ledger_->total(), tamperScratch_);
   adversary_->act(view);
+  // Mail: the adversary may have injected on either arc of any edge it
+  // touched, so both ends run this round's receive.
+  for (const graph::EdgeId e : view.touched()) {
+    const graph::Edge& ed = g_.edge(e);
+    mail_[static_cast<std::size_t>(ed.u)] = round_;
+    mail_[static_cast<std::size_t>(ed.v)] = round_;
+  }
   // Ground truth: which touched edges actually changed (a rewrite that
   // reproduces the original message is charged but not a corruption).
   // preImages() is sorted ascending by edge, matching the old full-plane
@@ -294,21 +320,47 @@ void Network::adversaryPhase() {
   snapshotWords_ += view.snapshotWordsCopied();
 }
 
+void Network::exchangePhase() {
+  // Cross-engine message movement (arena: no-op).  After this, every arc a
+  // local node reads holds exactly what its sender sent this round; the
+  // arcs that arrived from other engines stamp mail on their heads.
+  plane_->exchange(round_);
+  ShardedPlane& storage = plane_->storage();
+  for (const graph::ArcId a : storage.remoteArcs())
+    mail_[static_cast<std::size_t>(g_.arcTarget(a))] = round_;
+  storage.clearRemoteArcs();
+}
+
 void Network::receivePhase() {
   // Safe to parallelize: receives read the (frozen) arena and mutate only
-  // per-node state.  Doneness is folded in here so run() never needs a
-  // second full-graph scan.
-  std::atomic<bool> allDone{true};
-  forEachLocalNode([&](graph::NodeId v) {
+  // per-node state (including the node's own wake_/nodeDone_ slots).
+  // Nodes that are due or have mail run; doneness is tracked as a count
+  // folded in here, so run() never needs a full-graph scan.
+  running_.clear();
+  for (graph::NodeId v = plane_->localNodeLo(); v < plane_->localNodeHi();
+       ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    if (wake_[i] <= round_ || mail_[i] == round_) running_.push_back(v);
+  }
+  nodeRuns_ += running_.size();
+  std::atomic<long> doneDelta{0};
+  forEachNode(running_, [&](graph::NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
     ArcInbox in(g_, v, plane_->storage());
-    NodeState& node = *nodes_[static_cast<std::size_t>(v)];
+    NodeState& node = *nodes_[i];
     node.receive(round_, in);
-    if (!node.done()) allDone.store(false, std::memory_order_relaxed);
+    wake_[i] = node.nextWake(round_);
+    const std::uint8_t d = node.done() ? 1 : 0;
+    if (d != nodeDone_[i]) {
+      nodeDone_[i] = d;
+      doneDelta.fetch_add(d != 0 ? -1 : 1, std::memory_order_relaxed);
+    }
   });
+  notDone_ += doneDelta.load(std::memory_order_relaxed);
   // The plane resolves across engines (arena: identity) so every rank
   // stops at the same round -- called unconditionally to keep partitioned
   // engines' barrier counts aligned.
-  allDone_ = plane_->resolveAllDone(allDone.load(std::memory_order_relaxed));
+  allDone_ = plane_->resolveAllDone(notDone_ == 0);
 }
 
 void Network::step() {
@@ -324,9 +376,7 @@ void Network::step() {
   sendPhase();
   accountPhase();
   adversaryPhase();
-  // Cross-engine message movement (arena: no-op).  After this, every arc a
-  // local node reads holds exactly what its sender sent this round.
-  plane_->exchange(round_);
+  exchangePhase();
   receivePhase();
 }
 
@@ -352,7 +402,7 @@ void Network::stepObserved() {
   timed("send", [&] { sendPhase(); });
   timed("account", [&] { accountPhase(); });
   timed("adversary", [&] { adversaryPhase(); });
-  timed("exchange", [&] { plane_->exchange(round_); });
+  timed("exchange", [&] { exchangePhase(); });
   timed("receive", [&] { receivePhase(); });
 }
 

@@ -20,6 +20,14 @@
 // sequential reduction of those slots, and adversaryPhase diffs only the
 // edges the TamperView touched -- O(f), not O(arcs x words).
 //
+// The loop is activity-driven (the NodeState::nextWake contract): send
+// runs only for nodes whose wake round is due, and receive for those plus
+// every node some present arc reaches -- mail is stamped from the
+// senders' present out-arcs (accountPhase), from both ends of every edge
+// the adversary touched, and from the arcs the plane installs in its
+// exchange.  Nodes run in ascending id order on the sequential path.
+// Algorithms that keep the default wake run every node every round.
+//
 // On a partitioned plane the engine drives only its local node range
 // [plane->localNodeLo(), localNodeHi()): sends, receives, and the
 // accounting tallies cover local nodes, allDone is resolved across engines
@@ -145,8 +153,12 @@ class Network {
   /// Cached conjunction of node done() flags (plane-resolved across
   /// engines when partitioned), refreshed at construction, reset(), and
   /// the end of every step() -- run() consults the cache instead of
-  /// rescanning the whole graph before each round.
+  /// rescanning the whole graph before each round.  Kept as a count of
+  /// local nodes not yet done, updated only for the nodes that ran.
   [[nodiscard]] bool allDone() const { return allDone_; }
+  /// Node receive() calls since construction/reset() -- node runs over
+  /// (local nodes x rounds) is the share of the schedule that did work.
+  [[nodiscard]] std::uint64_t nodeRuns() const { return nodeRuns_; }
 
   /// All node outputs, index = node id.  On a partitioned plane only the
   /// local slice is live -- exp::runTrial merges slices across engines
@@ -216,11 +228,17 @@ class Network {
   void sendPhase();
   void accountPhase();
   void adversaryPhase();
+  /// The plane's exchange hook plus the mail stamps of the arcs it
+  /// installed.
+  void exchangePhase();
   void receivePhase();
 
-  /// Runs fn(v) for every locally-driven node, on the pool when one is
-  /// configured.
-  void forEachLocalNode(const std::function<void(graph::NodeId)>& fn);
+  /// Runs fn(v) for every node of `nodes` (ascending ids), on the pool
+  /// when one is configured.
+  void forEachNode(const std::vector<graph::NodeId>& nodes,
+                   const std::function<void(graph::NodeId)>& fn);
+  /// Stamps round_'s mail on the head of every present out-arc of `v`.
+  void markOutMail(graph::NodeId v);
   void rebuildNodes();
 
   const graph::Graph& g_;
@@ -238,6 +256,17 @@ class Network {
   std::vector<long> nodeMsgs_;
   std::vector<std::size_t> nodeMaxWords_;
   std::vector<std::size_t> nodeWords_;  // total words sent, same contract
+  // The wake schedule, index = node id: the round each node must next run
+  // (its nextWake()), the last round a present arc reached it, and its
+  // cached done() flag.  due_/running_ are this round's senders and
+  // receivers (ascending ids), rebuilt in place every round.
+  std::vector<int> wake_;
+  std::vector<int> mail_;
+  std::vector<std::uint8_t> nodeDone_;
+  std::vector<graph::NodeId> due_;
+  std::vector<graph::NodeId> running_;
+  long notDone_ = 0;  // local nodes whose cached done() is false
+  std::uint64_t nodeRuns_ = 0;
   // Per-round adversary arena (touched set + copy-on-touch snapshots),
   // rewound in place by each round's TamperView -- steady state allocates
   // nothing.

@@ -2,6 +2,8 @@
 //
 // The simulator drives every node through the synchronous CONGEST schedule:
 //   for round i = 1..R:  all send(i)  ->  adversary acts  ->  all receive(i)
+// where "all" means every node with work: a node whose nextWake() says it
+// is not due sends nothing and receives only when a message reaches it.
 // KT1 knowledge: a node addresses neighbors by their NodeId (it knows the
 // ids of its neighbors); topology beyond that is only available where the
 // paper grants it (supported-CONGEST / preprocessing outputs).
@@ -214,6 +216,16 @@ class NodeState {
   /// Optional early-termination signal; the network stops when all nodes
   /// report done (or the round limit is hit).
   [[nodiscard]] virtual bool done() const { return false; }
+
+  /// The wake contract: the first round after `round` at which this node
+  /// must run even when no message reaches it.  The engine asks after the
+  /// node's receive(round); it then calls send(r) only on nodes that are
+  /// due at r, and receive(r) on those plus every node with a present
+  /// in-arc at r (docs/architecture.md section 2).  In exchange the node
+  /// promises: send(r) at a round it is not due sends nothing, and a
+  /// receive(r) with an empty inbox leaves no state a later round can
+  /// observe.  The default is due every round -- the plain schedule.
+  [[nodiscard]] virtual int nextWake(int round) const { return round + 1; }
 
   /// Canonical output for equivalence checking between fault-free and
   /// compiled executions.

@@ -98,6 +98,7 @@ class ShardedPlane {
   void beginRoundShard(std::size_t s) { shards_[s]->beginRound(); }
   void reset() {
     for (auto& b : shards_) b->reset();
+    remoteArcs_.clear();
   }
 
   // --- routed reader surface (global arc ids) -----------------------------
@@ -137,7 +138,14 @@ class ShardedPlane {
                  std::size_t len) {
     const std::size_t s = shardOfArc(a);
     shards_[s]->put(shards_[s]->adversarySlab(), a - arcLo_[s], words, len);
+    remoteArcs_.push_back(a);
   }
+  /// Arcs putRemote installed since the last clearRemoteArcs(): the
+  /// engine stamps mail on their heads after the exchange, then clears.
+  [[nodiscard]] const std::vector<graph::ArcId>& remoteArcs() const {
+    return remoteArcs_;
+  }
+  void clearRemoteArcs() { remoteArcs_.clear(); }
 
   // --- introspection ------------------------------------------------------
   [[nodiscard]] std::size_t capacityWords() const {
@@ -156,6 +164,7 @@ class ShardedPlane {
   std::vector<std::unique_ptr<ArcBuffer>> shards_;
   std::vector<graph::NodeId> nodeLo_;  // shardCount+1 node range boundaries
   std::vector<graph::ArcId> arcLo_;    // shardCount+1 arc range boundaries
+  std::vector<graph::ArcId> remoteArcs_;  // putRemote log (capacity kept)
 };
 
 }  // namespace mobile::sim
