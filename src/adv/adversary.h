@@ -117,17 +117,6 @@ class CorruptionLedger {
   [[nodiscard]] long countInWindow(int fromRound, int toRound,
                                    const std::set<EdgeId>& edges) const;
 
-  /// Forgets all recorded history (Network::reset() support), keeping the
-  /// CSR capacity.  Shared ledger holders see the wipe too -- reset is a
-  /// whole-trial operation.
-  void clear() {
-    round_ = 0;
-    total_ = 0;
-    roundsBegun_ = 0;
-    entries_.clear();
-    entryRound_.clear();
-  }
-
  private:
   int round_ = 0;
   long total_ = 0;

@@ -211,19 +211,6 @@ class BoruvkaNode final : public NodeState {
 
   [[nodiscard]] bool done() const override { return done_; }
 
-  /// Rewinds to the freshly constructed state, keeping the structural
-  /// tables (edge ranking) and container capacities -- Network::reset()
-  /// reuses the node object through Algorithm::reinitNode.
-  void reinit() {
-    frag_ = static_cast<std::uint64_t>(self_);
-    phaseFrag_ = 0;
-    nbFrag_.clear();
-    best_ = -1;
-    joinEdges_.clear();
-    mst_.clear();
-    done_ = false;
-  }
-
   [[nodiscard]] std::uint64_t output() const override {
     std::vector<int> ranks;
     for (const EdgeId e : mst_)
@@ -271,12 +258,6 @@ sim::Algorithm makeBoruvkaMst(const Graph& g, int floodLen) {
   a.congestion = a.rounds;
   a.makeNode = [&g, order, L, phases](NodeId v, const Graph&, util::Rng) {
     return std::make_unique<BoruvkaNode>(v, g, order, L, phases);
-  };
-  a.reinitNode = [](sim::NodeState& n, NodeId, const Graph&, util::Rng) {
-    auto* node = dynamic_cast<BoruvkaNode*>(&n);
-    if (node == nullptr) return false;
-    node->reinit();
-    return true;
   };
   return a;
 }

@@ -42,8 +42,6 @@ class FloodMaxNode final : public NodeState {
   }
   [[nodiscard]] std::uint64_t output() const override { return best_; }
 
-  void reinit(NodeId self) { best_ = static_cast<std::uint64_t>(self); }
-
  private:
   template <typename F>
   void forEachNeighbor(const Inbox& in, F&& f) {
@@ -86,8 +84,6 @@ class BfsNode final : public NodeState {
     return static_cast<std::uint64_t>(dist_ + 1);
   }
 
-  void reinit(bool isRoot) { dist_ = isRoot ? 0 : -1; }
-
  private:
   const graph::Graph& g_;
   int dist_;
@@ -102,7 +98,6 @@ class SumNode final : public NodeState {
           const graph::Graph& g)
       : g_(g),
         self_(self),
-        root_(root),
         phaseLen_(dBound + 2),
         input_(input),
         dist_(self == root ? 0 : -1) {}
@@ -172,18 +167,9 @@ class SumNode final : public NodeState {
 
   [[nodiscard]] std::uint64_t output() const override { return total_; }
 
-  void reinit() {
-    dist_ = self_ == root_ ? 0 : -1;
-    parent_ = -1;
-    childSum_ = 0;
-    total_ = 0;
-    haveTotal_ = false;
-  }
-
  private:
   const graph::Graph& g_;
   NodeId self_;
-  NodeId root_;
   int phaseLen_;
   std::uint64_t input_;
   int dist_;
@@ -227,8 +213,6 @@ class GossipNode final : public NodeState {
   }
   [[nodiscard]] std::uint64_t output() const override { return h_; }
 
-  void reinit(std::uint64_t input) { h_ = input & mask_; }
-
  private:
   const graph::Graph& g_;
   NodeId self_;
@@ -264,8 +248,6 @@ class PingPongNode final : public NodeState {
   [[nodiscard]] std::uint64_t output() const override {
     return active_ ? h_ : 0;
   }
-
-  void reinit(std::uint64_t input) { h_ = input & mask_; }
 
  private:
   NodeId self_;
@@ -314,14 +296,6 @@ class PathNode final : public NodeState {
     value_ = v;
     have_ = true;
   }
-  void reinit(std::uint64_t value) {
-    value_ = 0;
-    have_ = false;
-    if (position_ == 0) {
-      value_ = value;
-      have_ = true;
-    }
-  }
   [[nodiscard]] bool has() const { return have_; }
   [[nodiscard]] int position() const { return position_; }
 
@@ -349,12 +323,6 @@ sim::Algorithm makeFloodMax(const Graph& g, int rounds) {
     node->g_ = &g;
     return node;
   };
-  a.reinitNode = [](sim::NodeState& n, NodeId v, const Graph&, util::Rng) {
-    auto* node = dynamic_cast<FloodMaxNode*>(&n);
-    if (node == nullptr) return false;
-    node->reinit(v);
-    return true;
-  };
   return a;
 }
 
@@ -364,12 +332,6 @@ sim::Algorithm makeBfsTree(const Graph& g, NodeId root, int diameterBound) {
   a.congestion = 1;
   a.makeNode = [&g, root, diameterBound](NodeId v, const Graph&, util::Rng) {
     return std::make_unique<BfsNode>(v, root, diameterBound, g);
-  };
-  a.reinitNode = [root](sim::NodeState& n, NodeId v, const Graph&, util::Rng) {
-    auto* node = dynamic_cast<BfsNode*>(&n);
-    if (node == nullptr) return false;
-    node->reinit(v == root);
-    return true;
   };
   return a;
 }
@@ -385,12 +347,6 @@ sim::Algorithm makeSumAggregate(const Graph& g, NodeId root, int diameterBound,
                                                  util::Rng) {
     return std::make_unique<SumNode>(
         v, root, diameterBound, (*shared)[static_cast<std::size_t>(v)], g);
-  };
-  a.reinitNode = [](sim::NodeState& n, NodeId, const Graph&, util::Rng) {
-    auto* node = dynamic_cast<SumNode*>(&n);
-    if (node == nullptr) return false;
-    node->reinit();
-    return true;
   };
   return a;
 }
@@ -408,13 +364,6 @@ sim::Algorithm makeGossipHash(const Graph& g, int rounds,
     return std::make_unique<GossipNode>(
         v, rounds, (*shared)[static_cast<std::size_t>(v)], g, maskBits);
   };
-  a.reinitNode = [shared](sim::NodeState& n, NodeId v, const Graph&,
-                          util::Rng) {
-    auto* node = dynamic_cast<GossipNode*>(&n);
-    if (node == nullptr) return false;
-    node->reinit((*shared)[static_cast<std::size_t>(v)]);
-    return true;
-  };
   return a;
 }
 
@@ -429,13 +378,6 @@ sim::Algorithm makePingPong(const Graph& g, NodeId a, NodeId b, int rounds,
                      NodeId v, const Graph&, util::Rng) {
     const std::uint64_t input = (v == a) ? inputA : inputB;
     return std::make_unique<PingPongNode>(v, a, b, rounds, input, maskBits);
-  };
-  alg.reinitNode = [a, inputA, inputB](sim::NodeState& n, NodeId v,
-                                       const Graph&, util::Rng) {
-    auto* node = dynamic_cast<PingPongNode*>(&n);
-    if (node == nullptr) return false;
-    node->reinit(v == a ? inputA : inputB);
-    return true;
   };
   return alg;
 }
@@ -455,7 +397,6 @@ sim::Algorithm makePathUnicast(const Graph& g, std::vector<NodeId> path,
       for (std::size_t i = 1; i < path.size(); ++i)
         if (path[i] == self) prev_ = path[i - 1];
     }
-    void reinit(std::uint64_t value) { inner_.reinit(value); }
     void send(int round, Outbox& out) override { inner_.send(round, out); }
     void receive(int round, const Inbox& in) override {
       (void)round;
@@ -476,12 +417,6 @@ sim::Algorithm makePathUnicast(const Graph& g, std::vector<NodeId> path,
   a.makeNode = [path = std::move(path), value](NodeId v, const Graph&,
                                                util::Rng) {
     return std::make_unique<Wrapper>(v, path, value);
-  };
-  a.reinitNode = [value](sim::NodeState& n, NodeId, const Graph&, util::Rng) {
-    auto* node = dynamic_cast<Wrapper*>(&n);
-    if (node == nullptr) return false;
-    node->reinit(value);
-    return true;
   };
   return a;
 }

@@ -93,17 +93,6 @@ class NaiveNode final : public NodeState {
     return inner_->output();
   }
 
-  /// Network::reset() in-place re-init: re-initializes (or rebuilds) the
-  /// inner node and rewinds the compiler state; capture/stash/inbox slots
-  /// keep their capacity -- each is fully rewritten before its next read.
-  void reinit(const sim::Algorithm& inner, NodeId v, const Graph& g,
-              util::Rng rng) {
-    util::Rng innerRng = rng.split(0x99);
-    if (!(inner.reinitNode && inner.reinitNode(*inner_, v, g, innerRng)))
-      inner_ = inner.makeNode(v, g, std::move(innerRng));
-    done_ = false;
-  }
-
  private:
   NodeId self_;
   const Graph& g_;
@@ -127,13 +116,6 @@ sim::Algorithm compileNaiveRepetition(const graph::Graph& g,
     auto innerNode = inner.makeNode(v, g, rng.split(0x99));
     return std::make_unique<NaiveNode>(v, g, std::move(innerNode),
                                        inner.rounds, f);
-  };
-  out.reinitNode = [inner](sim::NodeState& node, NodeId v, const Graph& g2,
-                           util::Rng rng) {
-    auto* naive = dynamic_cast<NaiveNode*>(&node);
-    if (naive == nullptr) return false;
-    naive->reinit(inner, v, g2, std::move(rng));
-    return true;
   };
   return out;
 }

@@ -25,22 +25,14 @@ class SchedNode final : public NodeState {
         pk_(std::move(pk)),
         engine_(engine),
         slots_{pk_->eta, engine.effectiveRho()},
-        shared_(std::move(shared)) {
+        shared_(std::move(shared)),
+        value_(static_cast<std::size_t>(pk_->k), 0),
+        have_(static_cast<std::size_t>(pk_->k), 0) {
     // Fixed-shape vote stash, [neighbor][schedule slot], each slot holding
     // distinct messages with multiplicities -- the slot-indexed no-alloc
     // idiom of compile/baselines.cc (a (tree, neighbor) pair is exactly a
     // (slot, neighbor) pair under the Lemma 3.3 schedule).
     stash_.resize(g_.degree(self_) * static_cast<std::size_t>(pk_->eta));
-    reinit(std::move(rng));
-  }
-
-  /// Network::reset() in-place re-initializer: exactly the constructor's
-  /// mutable state, reusing every allocation (stash slot capacities
-  /// survive; each slot is fully rewritten before its next majority read).
-  void reinit(util::Rng rng) {
-    done_ = false;
-    value_.assign(static_cast<std::size_t>(pk_->k), 0);
-    have_.assign(static_cast<std::size_t>(pk_->k), 0);
     if (self_ == pk_->root) {
       shared_->truth.assign(static_cast<std::size_t>(pk_->k), 0);
       for (int t = 0; t < pk_->k; ++t) {
@@ -156,13 +148,6 @@ sim::Algorithm makeScheduledTreeBroadcast(
   a.makeNode = [&g, pk, engine, shared](NodeId v, const Graph&, util::Rng rng) {
     return std::make_unique<SchedNode>(v, g, std::move(rng), pk, engine,
                                        shared);
-  };
-  a.reinitNode = [](sim::NodeState& node, NodeId, const Graph&,
-                    util::Rng rng) {
-    auto* sched = dynamic_cast<SchedNode*>(&node);
-    if (sched == nullptr) return false;
-    sched->reinit(std::move(rng));
-    return true;
   };
   return a;
 }

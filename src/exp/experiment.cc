@@ -47,11 +47,7 @@ TrialResult runTrial(const TrialSpec& spec) {
     sim::NetworkOptions netOpts = spec.net;
     if (spec.planeFactory) netOpts.planeImpl = spec.planeFactory(g);
     sim::Network net(g, algo, spec.seed, adversary.get(), netOpts);
-    const int budget = spec.maxRounds > 0 ? spec.maxRounds : algo.rounds;
-    if (spec.runExact)
-      net.runExact(budget);
-    else
-      net.run(budget);
+    net.run(algo.rounds);
 
     r.rounds = net.roundsExecuted();
     // Merge per-engine accounting through the plane: identity on the arena

@@ -60,10 +60,6 @@ struct TrialSpec {
   /// net.planeImpl.  Null means the in-process arena plane.
   std::function<std::shared_ptr<sim::MessagePlane>(const graph::Graph&)>
       planeFactory;
-  /// Round budget; 0 means the algorithm's declared rounds.
-  int maxRounds = 0;
-  /// Use Network::runExact instead of run (hold the full schedule).
-  bool runExact = false;
   /// Expected outputs fingerprint; when set, TrialResult::ok reports the
   /// comparison (otherwise ok stays true).
   std::optional<std::uint64_t> expect;

@@ -72,10 +72,6 @@ class ArcBuffer {
     for (auto& s : slabs_) s.clear();
   }
 
-  /// Full reset (trial rewind): like beginRound(); capacity is kept so the
-  /// next trial runs allocation-free from round one.
-  void reset() { beginRound(); }
-
   // --- writer surface (one writer per slab at a time) ----------------------
 
   /// Stores `len` words as arc `a`'s message, appending into `slab`.

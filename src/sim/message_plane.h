@@ -129,10 +129,6 @@ class MessagePlane {
     return localAllDone;
   }
 
-  /// Trial rewind (Network::reset): clears storage; link-layer sessions
-  /// survive so lock-step engines can rewind together.
-  virtual void reset() { storage_.reset(); }
-
   /// Post-run merge of per-engine accounting.  Returns true when this
   /// engine owns the merged result (the arena plane always does; a
   /// partitioned plane's rank 0): `m` then holds globally-exact values.

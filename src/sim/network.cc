@@ -49,7 +49,6 @@ Network::Network(const graph::Graph& g, const Algorithm& algo,
     : g_(g),
       algo_(algo),
       opts_(std::move(opts)),
-      seed_(seed),
       adversary_(adversary),
       ledger_(ledger ? std::move(ledger)
                      : std::make_shared<adv::CorruptionLedger>()),
@@ -57,19 +56,11 @@ Network::Network(const graph::Graph& g, const Algorithm& algo,
       nodeMsgs_(static_cast<std::size_t>(g.nodeCount()), 0),
       nodeMaxWords_(static_cast<std::size_t>(g.nodeCount()), 0),
       nodeWords_(static_cast<std::size_t>(g.nodeCount()), 0),
-      wake_(static_cast<std::size_t>(g.nodeCount())),
-      mail_(static_cast<std::size_t>(g.nodeCount())),
+      wake_(static_cast<std::size_t>(g.nodeCount()), 1),
+      mail_(static_cast<std::size_t>(g.nodeCount()), 0),
       nodeDone_(static_cast<std::size_t>(g.nodeCount())) {
   g_.finalize();  // lock the CSR layout before any parallel phase reads it
-  if (opts_.planeImpl) {
-    plane_ = opts_.planeImpl;
-  } else if (opts_.plane != PlaneKind::kArena) {
-    throw std::logic_error(
-        "NetworkOptions: a non-arena plane requires planeImpl "
-        "(src/sim cannot construct net::UdpPlane)");
-  } else {
-    plane_ = std::make_shared<MessagePlane>();
-  }
+  plane_ = opts_.planeImpl ? opts_.planeImpl : std::make_shared<MessagePlane>();
   plane_->attach(g_,
                  opts_.numShards > 0 ? opts_.numShards : opts_.numThreads);
   if (adversary_ != nullptr && plane_->partitioned())
@@ -78,41 +69,14 @@ Network::Network(const graph::Graph& g, const Algorithm& algo,
         "(its budget and ledger are global); use net::LossyChannel");
   if (opts_.numThreads > 1)
     pool_ = std::make_unique<util::ThreadPool>(opts_.numThreads);
-  rebuildNodes();
-}
-
-Network::~Network() = default;
-
-void Network::setAdversary(adv::Adversary* adversary) {
-  if (adversary != nullptr && plane_->partitioned())
-    throw std::logic_error(
-        "in-process adversary is incompatible with a partitioned plane");
-  adversary_ = adversary;
-}
-
-void Network::rebuildNodes() {
-  util::Rng master(seed_);
   // Nodes receive independently split, private randomness streams, so the
-  // stream node v observes does not depend on which engine drives it.  On
-  // reset() the node objects (and the nodes_ vector) are reused in place
-  // when the algorithm provides an in-place re-initializer; otherwise only
-  // the vector storage survives and makeNode rebuilds each slot.
-  const std::size_t n = static_cast<std::size_t>(g_.nodeCount());
-  if (nodes_.size() != n) {
-    nodes_.clear();
-    nodes_.resize(n);
-  }
-  for (graph::NodeId v = 0; v < g_.nodeCount(); ++v) {
-    auto& slot = nodes_[static_cast<std::size_t>(v)];
-    util::Rng rng = master.split(static_cast<std::uint64_t>(v));
-    if (slot && algo_.reinitNode && algo_.reinitNode(*slot, v, g_, rng))
-      continue;
-    slot = algo_.makeNode(v, g_, rng);
-  }
-  // Every node is due in round 1; nothing has mail yet.
-  std::fill(wake_.begin(), wake_.end(), 1);
-  std::fill(mail_.begin(), mail_.end(), 0);
-  notDone_ = 0;
+  // stream node v observes does not depend on which engine drives it.
+  // Every node is due in round 1 (wake_); nothing has mail yet.
+  util::Rng master(seed);
+  nodes_.reserve(static_cast<std::size_t>(g_.nodeCount()));
+  for (graph::NodeId v = 0; v < g_.nodeCount(); ++v)
+    nodes_.push_back(
+        algo_.makeNode(v, g_, master.split(static_cast<std::uint64_t>(v))));
   for (graph::NodeId v = plane_->localNodeLo(); v < plane_->localNodeHi();
        ++v) {
     const bool d = nodes_[static_cast<std::size_t>(v)]->done();
@@ -124,21 +88,7 @@ void Network::rebuildNodes() {
   allDone_ = plane_->resolveAllDone(notDone_ == 0);
 }
 
-void Network::reset(std::uint64_t seed) {
-  seed_ = seed;
-  round_ = 0;
-  messagesSent_ = 0;
-  maxWords_ = 0;
-  snapshotWords_ = 0;
-  nodeRuns_ = 0;
-  plane_->reset();
-  std::fill(arcTraffic_.begin(), arcTraffic_.end(), 0);
-  phaseMs_.fill(0.0);
-  ledger_->clear();
-  rebuildNodes();
-}
-
-void Network::reset() { reset(seed_); }
+Network::~Network() = default;
 
 void Network::forEachNode(const std::vector<graph::NodeId>& nodes,
                           const std::function<void(graph::NodeId)>& fn) {
@@ -409,7 +359,7 @@ void Network::stepObserved() {
 int Network::run(int maxRounds) {
   int executed = 0;
   while (executed < maxRounds) {
-    if (opts_.stopWhenAllDone && allDone_) break;
+    if (allDone_) break;
     step();
     ++executed;
   }

@@ -76,21 +76,11 @@ class ThreadPool;
 
 namespace mobile::sim {
 
-/// Which MessagePlane implementation carries the round's messages.
-enum class PlaneKind {
-  kArena,  ///< in-process sharded arena (the default; no planeImpl needed)
-  kUdp,    ///< multi-process UDP plane -- NetworkOptions::planeImpl must be
-           ///< set (src/sim cannot depend on src/net; build one with
-           ///< net::UdpPlane and hand it over)
-};
-
 struct NetworkOptions {
   /// Per-message word cap (base CONGEST = 1 word; compiled protocols bundle
   /// wider logical messages -- experiments report normalized round counts
   /// via maxWordsObserved()).
   std::size_t maxWordsPerMsg = 1u << 16;
-  /// Stop early once all nodes report done().
-  bool stopWhenAllDone = true;
   /// Execution lanes for the send/receive phases.  1 (the default) is the
   /// strictly sequential engine; >1 parallelizes over nodes with
   /// bit-identical results for algorithms whose nodes touch only per-node
@@ -103,10 +93,10 @@ struct NetworkOptions {
   /// an execution detail: observable results are bit-identical at every
   /// setting (pinned by tests/test_arena_determinism.cc).
   int numShards = 0;
-  /// Message-plane selection.  kUdp requires planeImpl.
-  PlaneKind plane = PlaneKind::kArena;
-  /// Externally-built plane (kUdp).  Shared: the transport session inside
-  /// may outlive any single Network (trial rewinds reuse it).
+  /// Externally-built message plane (e.g. net::UdpPlane -- src/sim cannot
+  /// depend on src/net, so callers build one and hand it over).  Null means
+  /// the in-process sharded arena.  Shared: the caller may keep a handle to
+  /// read the plane after the run.
   std::shared_ptr<MessagePlane> planeImpl;
 };
 
@@ -120,26 +110,12 @@ class Network {
           std::shared_ptr<adv::CorruptionLedger> ledger = nullptr);
   ~Network();
 
-  /// Runs up to maxRounds; returns rounds actually executed.
+  /// Runs up to maxRounds, stopping early once every node reports done();
+  /// returns rounds actually executed.
   int run(int maxRounds);
 
   /// Runs exactly `count` further rounds (ignores done()).
   void runExact(int count);
-
-  /// Rewinds the network to round 0 with fresh node state seeded from
-  /// `seed`, reusing the arena slabs, traffic buffers, and -- when the
-  /// algorithm provides reinitNode -- the node objects themselves: the
-  /// cheap way for trial drivers to run many seeds over one graph.
-  /// Counters and the ledger are cleared; the installed adversary is NOT
-  /// touched (strategies are stateful -- swap in a fresh one via
-  /// setAdversary()).
-  void reset(std::uint64_t seed);
-  /// reset() keeping the construction seed.
-  void reset();
-
-  /// Replaces the adversary (nullptr = fault-free) from the next round on.
-  /// Rejected on a partitioned plane (global sequential contract).
-  void setAdversary(adv::Adversary* adversary);
 
   [[nodiscard]] NodeState& node(graph::NodeId v) {
     return *nodes_[static_cast<std::size_t>(v)];
@@ -151,12 +127,12 @@ class Network {
   [[nodiscard]] const graph::Graph& graph() const { return g_; }
   [[nodiscard]] int roundsExecuted() const { return round_; }
   /// Cached conjunction of node done() flags (plane-resolved across
-  /// engines when partitioned), refreshed at construction, reset(), and
+  /// engines when partitioned), refreshed at construction and
   /// the end of every step() -- run() consults the cache instead of
   /// rescanning the whole graph before each round.  Kept as a count of
   /// local nodes not yet done, updated only for the nodes that ran.
   [[nodiscard]] bool allDone() const { return allDone_; }
-  /// Node receive() calls since construction/reset() -- node runs over
+  /// Node receive() calls since construction -- node runs over
   /// (local nodes x rounds) is the share of the schedule that did work.
   [[nodiscard]] std::uint64_t nodeRuns() const { return nodeRuns_; }
 
@@ -199,7 +175,7 @@ class Network {
   static constexpr std::size_t kPhaseCount = 6;
   /// "clear", "send", "account", "adversary", "exchange", "receive".
   static const std::array<const char*, kPhaseCount> kPhaseNames;
-  /// Accumulated wall time per phase (ms) since construction/reset().
+  /// Accumulated wall time per phase (ms) since construction.
   /// Recorded only while obs::enabled() -- all zeros otherwise (step()
   /// takes an untimed fast path; see stepObserved()).
   [[nodiscard]] const std::array<double, kPhaseCount>& phaseMillis() const {
@@ -239,12 +215,10 @@ class Network {
                    const std::function<void(graph::NodeId)>& fn);
   /// Stamps round_'s mail on the head of every present out-arc of `v`.
   void markOutMail(graph::NodeId v);
-  void rebuildNodes();
 
   const graph::Graph& g_;
   Algorithm algo_;
   NetworkOptions opts_;
-  std::uint64_t seed_;
   adv::Adversary* adversary_;
   std::shared_ptr<adv::CorruptionLedger> ledger_;
   std::unique_ptr<util::ThreadPool> pool_;  // only when numThreads > 1

@@ -235,17 +235,10 @@ class NodeState {
 /// Per-node protocol factory: an "algorithm" in the paper's sense.
 struct Algorithm {
   /// Builds node v's state machine.  `rng` is node-private randomness the
-  /// adversary never sees.
+  /// adversary never sees.  Called once per node when a Network is built.
   std::function<std::unique_ptr<NodeState>(NodeId v, const Graph& g,
                                            util::Rng rng)>
       makeNode;
-
-  /// Optional in-place re-initializer for Network::reset(): must leave
-  /// `node` exactly as makeNode(v, g, rng) would build it, reusing the
-  /// existing object's allocations.  Return false to fall back to makeNode
-  /// (e.g. when handed a node type the algorithm does not recognize).
-  std::function<bool(NodeState& node, NodeId v, const Graph& g, util::Rng rng)>
-      reinitNode;
 
   /// Declared fault-free round count r (compilers consume this).
   int rounds = 0;

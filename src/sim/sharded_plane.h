@@ -96,10 +96,6 @@ class ShardedPlane {
   }
   /// Per-shard epoch bump so the clear phase can fan out over shards.
   void beginRoundShard(std::size_t s) { shards_[s]->beginRound(); }
-  void reset() {
-    for (auto& b : shards_) b->reset();
-    remoteArcs_.clear();
-  }
 
   // --- routed reader surface (global arc ids) -----------------------------
   [[nodiscard]] bool present(graph::ArcId a) const {

@@ -12,8 +12,8 @@
 //
 // Also pinned here: the copy-on-touch contract (adversaryPhase cost is
 // O(touched edges), asserted via the snapshot word counter on a large
-// graph), the zero-allocation steady state (slab capacity goes flat after
-// warm-up), and node-object reuse across Network::reset().
+// graph) and the zero-allocation steady state (slab capacity goes flat
+// after warm-up).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -228,39 +228,6 @@ TEST(ArenaPlane, SlabCapacityGoesFlatAfterWarmup) {
   const std::size_t warm = net.arcs().capacityWords();
   net.runExact(200);
   EXPECT_EQ(net.arcs().capacityWords(), warm);
-}
-
-TEST(NodeReuse, ResetReinitializesNodesInPlace) {
-  const graph::Graph g = graph::clique(8);
-  const sim::Algorithm a = algo::makeBoruvkaMst(g);
-  sim::Network net(g, a, 1);
-  std::vector<const sim::NodeState*> before;
-  for (graph::NodeId v = 0; v < g.nodeCount(); ++v)
-    before.push_back(&net.node(v));
-  net.run(a.rounds);
-  const std::uint64_t fp = net.outputsFingerprint();
-  net.reset(2);
-  // Same node objects, rewound in place.
-  for (graph::NodeId v = 0; v < g.nodeCount(); ++v)
-    EXPECT_EQ(&net.node(v), before[static_cast<std::size_t>(v)]) << v;
-  net.run(a.rounds);
-  // And the rewound run matches a from-scratch construction exactly.
-  sim::Network fresh(g, a, 2);
-  fresh.run(a.rounds);
-  EXPECT_EQ(net.outputsFingerprint(), fresh.outputsFingerprint());
-  EXPECT_EQ(net.outputsFingerprint(), fp);  // MST outputs are seed-free
-}
-
-TEST(NodeReuse, FallbackRebuildsWhenAlgorithmHasNoReinit) {
-  const graph::Graph g = graph::clique(6);
-  const auto pk = compile::distributePacking(g, graph::cliqueStarPacking(g), 2);
-  const sim::Algorithm a = compile::makeMobileSecureBroadcast(g, pk, {0xaa}, 1);
-  sim::Network net(g, a, 3);
-  net.run(a.rounds);
-  const std::uint64_t fp = net.outputsFingerprint();
-  net.reset(3);
-  net.run(a.rounds);
-  EXPECT_EQ(net.outputsFingerprint(), fp);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //
 // Driver level: ExperimentDriver with 1 vs many lanes, and vs a hand-rolled
 // sequential loop, must return identical per-trial fingerprints in spec
-// order.  Network::reset() must reproduce a fresh construction exactly.
+// order, and running one spec twice must replay the trial exactly.
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -252,40 +252,32 @@ TEST(DriverDeterminism, ObserveHookSeesTheFinishedNetwork) {
   EXPECT_GT(r.extra.at("views"), 0.0);
 }
 
-TEST(NetworkReset, ReproducesAFreshConstructionExactly) {
+TEST(TrialReplay, SameSpecReproducesTheTrialExactly) {
+  // A trial builds its network, adversary and node state from the spec
+  // alone, so running one spec twice must replay it bit for bit -- under
+  // an active stateful adversary, which the factory builds fresh each time.
   const graph::Graph g = graph::clique(8);
-  std::vector<std::uint64_t> inputs(8, 3);
-  const sim::Algorithm a = algo::makeGossipHash(g, 2, inputs, 32);
-
-  adv::RandomByzantine adv1(1, 7);
-  sim::Network net(g, a, 11, &adv1);
-  net.run(a.rounds);
-  const std::uint64_t first = net.outputsFingerprint();
-  const long firstCorruptions = net.ledger().total();
-
-  // Same seed + identically seeded fresh adversary => identical run.
-  adv::RandomByzantine adv2(1, 7);
-  net.setAdversary(&adv2);
-  net.reset(11);
-  EXPECT_EQ(net.roundsExecuted(), 0);
-  EXPECT_EQ(net.messagesSent(), 0);
-  EXPECT_EQ(net.ledger().total(), 0);
-  net.run(a.rounds);
-  EXPECT_EQ(net.outputsFingerprint(), first);
-  EXPECT_EQ(net.ledger().total(), firstCorruptions);
-
-  // Different seed via reset == fresh network with that seed.
-  adv::RandomByzantine adv3(1, 7);
-  net.setAdversary(&adv3);
-  net.reset(12);
-  net.run(a.rounds);
-  adv::RandomByzantine adv4(1, 7);
-  sim::Network fresh(g, a, 12, &adv4);
-  fresh.run(a.rounds);
-  EXPECT_EQ(net.outputsFingerprint(), fresh.outputsFingerprint());
+  exp::TrialSpec spec;
+  spec.group = "replay";
+  spec.seed = 11;
+  spec.graphFactory = [g] { return g; };
+  spec.algoFactory = [](const graph::Graph& gg) {
+    return algo::makeGossipHash(gg, 2, std::vector<std::uint64_t>(8, 3), 32);
+  };
+  spec.adversaryFactory = [](const graph::Graph&) {
+    return std::make_unique<adv::RandomByzantine>(1, 7);
+  };
+  const exp::TrialResult first = exp::runTrial(spec);
+  const exp::TrialResult second = exp::runTrial(spec);
+  EXPECT_GT(first.corruptions, 0);
+  EXPECT_EQ(second.fingerprint, first.fingerprint);
+  EXPECT_EQ(second.corruptions, first.corruptions);
+  EXPECT_EQ(second.messages, first.messages);
+  EXPECT_EQ(second.maxCongestion, first.maxCongestion);
+  EXPECT_EQ(second.rounds, first.rounds);
 }
 
-TEST(NetworkReset, FingerprintHelperMatchesNetwork) {
+TEST(OutputsFingerprint, HelperMatchesNetwork) {
   const graph::Graph g = graph::clique(6);
   const sim::Algorithm a = algo::makeFloodMax(g, 2);
   sim::Network net(g, a, 1);

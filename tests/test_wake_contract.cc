@@ -92,7 +92,6 @@ sim::Algorithm everyRound(sim::Algorithm a) {
   a.makeNode = [make](NodeId v, const Graph& g, util::Rng rng) {
     return std::make_unique<EveryRoundNode>(make(v, g, std::move(rng)));
   };
-  a.reinitNode = nullptr;
   return a;
 }
 
@@ -102,7 +101,6 @@ sim::Algorithm logged(sim::Algorithm a, std::vector<std::vector<int>>* runs) {
     return std::make_unique<LoggedNode>(
         make(v, g, std::move(rng)), &(*runs)[static_cast<std::size_t>(v)]);
   };
-  a.reinitNode = nullptr;
   return a;
 }
 
